@@ -7,7 +7,8 @@
 //! time. The warm row is a long-lived server answering out of its session
 //! cache — the workload `repro serve` exists for. `repro --bench` records the
 //! warm rate as `server_queries_per_sec` and the cold/warm ratio as
-//! `server_warm_cache_speedup`.
+//! `server_warm_cache_speedup`. Both are in-process exchanges that never open
+//! a socket; `perfbench` measures `repro serve` over TCP.
 
 use std::sync::Arc;
 

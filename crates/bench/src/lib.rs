@@ -1035,6 +1035,8 @@ pub const SERVER_QUERY_COLD_ID: &str = "server-throughput/query-cold";
 /// the dominant service workload (repeated and overlapping operator queries).
 /// `repro --bench` records the warm rate as `server_queries_per_sec` and the
 /// cold/warm ratio as `server_warm_cache_speedup` in `BENCH_analysis.json`.
+/// Both exchanges run in process through `run_exchange` and never open a
+/// socket; `perfbench` measures `repro serve` over TCP.
 pub const SERVER_QUERY_WARM_ID: &str = "server-throughput/query-warm";
 
 /// The request line of the server-throughput workload: a mixed query touching

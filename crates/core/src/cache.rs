@@ -31,8 +31,9 @@
 //! Explicit cells encode the model's
 //! [`cache_signature`](crate::protocol::ProtocolModel::cache_signature) (a
 //! length-prefixed content fingerprint) followed by the full scenario content:
-//! every per-node profile's probability bits plus every correlation group's
-//! members, shock-probability bits and shock mode. Models without a stable
+//! every per-node profile's probability bits (run-length encoded, so a uniform
+//! fleet keys in three words) plus every correlation group's members,
+//! shock-probability bits and shock mode. Models without a stable
 //! signature (`cache_signature() == None`) fall back to plan-local scratch —
 //! correctness never depends on a model opting in.
 

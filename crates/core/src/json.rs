@@ -11,13 +11,18 @@
 //!   identical bits — probabilities in a report survive a JSON round trip exactly.
 //! * **Non-finite policy.** JSON has no `NaN`/`Infinity` literal; [`JsonValue::number`]
 //!   maps them to `null`, and the writer refuses to invent non-standard tokens.
-//! * **Parser for tests.** [`JsonValue::parse`] is a strict recursive-descent parser
-//!   (objects, arrays, strings with escapes, numbers, literals) used by the
-//!   round-trip tests; it is not a streaming parser and is not meant for untrusted
-//!   multi-megabyte inputs.
+//! * **Parser for wire input.** [`JsonValue::parse`] is a strict recursive-descent
+//!   parser (objects, arrays, strings with escapes, numbers, literals). It reads
+//!   every `repro serve` request line, so it is hardened against hostile input:
+//!   nesting deeper than [`MAX_NESTING_DEPTH`] is a [`JsonError`], never a stack
+//!   overflow. It is not a streaming parser; the server bounds line length.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. Recursion
+/// depth tracks nesting, so the cap bounds the parser's stack use on any input.
+pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// A JSON value. Object keys keep insertion order (reports render columns in a
 /// stable order); [`JsonValue::get`] is a linear scan, fine at report sizes.
@@ -97,11 +102,13 @@ impl JsonValue {
     }
 
     /// Parses a JSON document. Strict: exactly one value, nothing but whitespace
-    /// around it, no trailing commas, no comments.
+    /// around it, no trailing commas, no comments, and at most
+    /// [`MAX_NESTING_DEPTH`] levels of arrays and objects.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -262,6 +269,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,11 +315,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -628,7 +652,63 @@ mod tests {
         }
     }
 
+    /// `depth` levels of alternating arrays and objects around a number.
+    fn nested_document(depth: usize) -> String {
+        let mut doc = "0".to_string();
+        for level in 0..depth {
+            doc = if level % 2 == 0 {
+                format!("[{doc}]")
+            } else {
+                format!("{{\"k\":{doc}}}")
+            };
+        }
+        doc
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deepest = nested_document(MAX_NESTING_DEPTH);
+        assert_eq!(
+            JsonValue::parse(&deepest).unwrap().to_compact_string(),
+            deepest
+        );
+        let err = JsonValue::parse(&nested_document(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // The error points at the opener one level too deep: past 64 `[` and 64 `{"k":`.
+        assert_eq!(err.offset, MAX_NESTING_DEPTH * 3, "{err}");
+        let brackets = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&brackets(MAX_NESTING_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&brackets(MAX_NESTING_DEPTH + 1)).is_err());
+        // Far past the cap — deep enough to overflow any thread's stack without
+        // it — is an error too, wherever the nesting stops.
+        assert!(JsonValue::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(JsonValue::parse(&"{\"k\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn valid_compact_documents_round_trip_byte_identically() {
+        for doc in [
+            r#"{"id":"q1","op":"query","query":{"protocols":["raft",{"raft_flexible":{"q_per":4,"q_vc":3}}],"nodes":[4,7],"fault_probs":[0.01,0.05],"samples":20000}}"#.to_string(),
+            r#"{"a":[],"b":{},"c":[null,true,false,-0,0.0015,0.30000000000000004],"d":"esc \" \\ \n \t \u0001 é"}"#.to_string(),
+            nested_document(32),
+        ] {
+            assert_eq!(JsonValue::parse(&doc).unwrap().to_compact_string(), doc);
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn nesting_parses_exactly_up_to_the_cap(depth in 0usize..400) {
+            let doc = nested_document(depth);
+            match JsonValue::parse(&doc) {
+                Ok(value) => {
+                    proptest::prop_assert!(depth <= MAX_NESTING_DEPTH);
+                    proptest::prop_assert_eq!(value.to_compact_string(), doc);
+                }
+                Err(_) => proptest::prop_assert!(depth > MAX_NESTING_DEPTH),
+            }
+        }
+
         #[test]
         fn arbitrary_finite_numbers_round_trip(bits in 0u64..u64::MAX) {
             let v = f64::from_bits(bits);

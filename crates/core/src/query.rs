@@ -1268,24 +1268,37 @@ fn grid_key_words(
 
 /// Structural identity of an explicit cell's (model, scenario) pair: the model's
 /// [`cache_signature`](ProtocolModel::cache_signature) (length-prefixed) followed
-/// by the scenario's full content — every profile's probability bits plus every
-/// correlation group's members, shock-probability bits and shock mode. `None`
-/// when the model has no stable signature, in which case the cell gets
-/// plan-local scratch (always correct, never amortized).
+/// by the scenario's full content — the per-node profiles' probability bits,
+/// run-length encoded as `[runs, (length, crash bits, byzantine bits)…]`, plus
+/// every correlation group's members, shock-probability bits and shock mode.
+/// The run-length form is as exact as one word pair per node, and keeps a
+/// uniform fleet's key (resident for as long as its cache entry) at three
+/// profile words whatever the node count. `None` when the model has no stable
+/// signature, in which case the cell gets plan-local scratch (always correct,
+/// never amortized).
 pub(crate) fn content_key_words(
     model: &dyn ProtocolModel,
     scenario: Scenario<'_>,
 ) -> Option<Vec<u64>> {
     let sig = model.cache_signature()?;
-    let mut words = Vec::with_capacity(4 + sig.len() + 2 * scenario.len());
+    let mut words = Vec::with_capacity(8 + sig.len());
     words.push(CONTENT_KEY_TAG);
     words.push(sig.len() as u64);
     words.extend(sig);
-    let profiles = scenario.profiles();
-    words.push(profiles.len() as u64);
-    for profile in profiles {
-        words.push(profile.crash_probability().to_bits());
-        words.push(profile.byzantine_probability().to_bits());
+    let bits = |p: &fault_model::mode::FaultProfile| {
+        (
+            p.crash_probability().to_bits(),
+            p.byzantine_probability().to_bits(),
+        )
+    };
+    let runs: Vec<&[fault_model::mode::FaultProfile]> = scenario
+        .profiles()
+        .chunk_by(|a, b| bits(a) == bits(b))
+        .collect();
+    words.push(runs.len() as u64);
+    for run in runs {
+        let (crash, byzantine) = bits(&run[0]);
+        words.extend([run.len() as u64, crash, byzantine]);
     }
     // An independent deployment encodes as zero correlation groups — it *is* a
     // correlation model with no groups, and every engine treats them alike.
@@ -3259,6 +3272,39 @@ mod tests {
         let stats = session.cache_stats();
         assert_eq!(stats.entries, 2, "distinct models, distinct entries");
         assert_eq!(stats.misses, 2);
+    }
+
+    #[test]
+    fn run_length_content_keys_stay_exact() {
+        use fault_model::mode::FaultProfile;
+        let model = crate::durability::PersistenceQuorumModel::new(3, vec![0, 1]);
+        let (a, b) = (
+            FaultProfile::crash_only(0.01),
+            FaultProfile::crash_only(0.02),
+        );
+        let key = |profiles: Vec<FaultProfile>| {
+            let deployment = Deployment::from_profiles(profiles);
+            content_key_words(&model, Scenario::Independent(&deployment)).expect("signed model")
+        };
+        // Same multiset of profiles, different runs: distinct content, distinct keys.
+        assert_ne!(key(vec![a, a, b]), key(vec![a, b, b]));
+        assert_ne!(key(vec![a, b, a]), key(vec![a, a, b]));
+        // -0.0 == 0.0 as numbers, but keys compare bits.
+        let zero = FaultProfile::new(0.0, 0.0);
+        let negative_zero = FaultProfile::new(-0.0, 0.0);
+        assert_ne!(
+            key(vec![zero, zero, zero]),
+            key(vec![zero, negative_zero, zero])
+        );
+        // A uniform fleet keys in one run whatever its size.
+        let uniform = |n: usize| {
+            let model = crate::durability::PersistenceQuorumModel::new(n, vec![0, 1]);
+            let deployment = Deployment::uniform_crash(n, 0.01);
+            content_key_words(&model, Scenario::Independent(&deployment))
+                .expect("signed model")
+                .len()
+        };
+        assert_eq!(uniform(5), uniform(100));
     }
 
     #[test]

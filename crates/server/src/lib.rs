@@ -61,8 +61,16 @@
 //! Queries submitted before a previous one finishes run **concurrently** on the
 //! shared worker pool (each plan is submitted as an owned task; its work items
 //! interleave with every other plan's). `shutdown` drains in-flight queries
-//! before the final event is written. Malformed lines and failed plans produce
-//! an `error` event and never take the server down.
+//! before the final event is written. Malformed lines — nesting deeper than
+//! [`json::MAX_NESTING_DEPTH`](prob_consensus::json::MAX_NESTING_DEPTH)
+//! included — and failed plans produce an `error` event and never take the
+//! server down.
+//!
+//! Every TCP connection sets `TCP_NODELAY`. Streamed events are small separate
+//! writes; under Nagle's algorithm each write after a reply's first would wait
+//! for the client to ACK the previous one, and a client waiting for `done` has
+//! nothing to send, so it delays that ACK by ~40 ms — one stall per
+//! multi-event reply.
 //!
 //! The streamed cell records are produced by the same execution path as the
 //! one-shot CLI (`QueryPlan::execute_streaming`), so a streamed report
@@ -1305,6 +1313,9 @@ pub fn serve_tcp(server: &Arc<Server>, addr: impl ToSocketAddrs) -> std::io::Res
 }
 
 fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Result<bool> {
+    // Without TCP_NODELAY every multi-event reply stalls ~40 ms on the client's
+    // delayed ACK (see the module docs).
+    stream.set_nodelay(true)?;
     // A silent peer must not pin this connection thread forever; the timeout
     // surfaces in `serve_connection` as an `error` event plus a clean close.
     stream.set_read_timeout(Some(TCP_READ_TIMEOUT))?;
@@ -1740,6 +1751,75 @@ mod tests {
             events.last().unwrap().get("event").unwrap().as_str(),
             Some("shutdown")
         );
+    }
+
+    /// Multi-event replies over TCP must not wait on the client's delayed ACK:
+    /// with Nagle on, every event after a reply's first is held ~40 ms.
+    #[test]
+    fn tcp_multi_event_replies_do_not_stall_on_delayed_acks() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::time::Duration;
+        let server = Arc::new(Server::new());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().unwrap();
+        let serve = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let (stream, _) = listener.accept().expect("client connects");
+                let accepted = stream.try_clone().expect("clone the accepted stream");
+                let shutdown = handle_tcp_connection(&server, stream).expect("connection serves");
+                (shutdown, accepted.nodelay().expect("read TCP_NODELAY"))
+            })
+        };
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        // Two exact cells: every reply is three writes (cell, cell, done).
+        let request = b"{\"id\":\"q\",\"op\":\"query\",\"query\":{\"protocols\":[\"raft\"],\"nodes\":[5],\"fault_probs\":[0.02,0.05]}}\n";
+        let mut send_to_done = || {
+            let start = Instant::now();
+            client.write_all(request).unwrap();
+            let mut kinds = Vec::new();
+            let mut line = String::new();
+            while kinds.last().map(String::as_str) != Some("done") {
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                let event = JsonValue::parse(&line).expect("one event per line");
+                kinds.push(event.get("event").unwrap().as_str().unwrap().to_string());
+            }
+            assert_eq!(kinds, ["cell", "cell", "done"]);
+            start.elapsed()
+        };
+        send_to_done(); // prime the session cache
+        let mut times: Vec<Duration> = (0..20).map(|_| send_to_done()).collect();
+        times.sort();
+        let median = times[times.len() / 2];
+        client
+            .write_all(b"{\"id\":\"bye\",\"op\":\"shutdown\"}\n")
+            .unwrap();
+        let (shutdown, nodelay) = serve.join().unwrap();
+        assert!(shutdown, "connection reported shutdown");
+        assert!(nodelay, "accepted streams must set TCP_NODELAY");
+        assert!(
+            median < Duration::from_millis(10),
+            "median send-to-done {median:?} over 20 warm queries (sorted: {times:?})"
+        );
+    }
+
+    #[test]
+    fn deeply_nested_request_lines_error_and_the_connection_keeps_serving() {
+        let server = Arc::new(Server::new());
+        let depth = 50_000;
+        let input = format!(
+            "{}{}\n{{\"id\":\"s\",\"op\":\"stats\"}}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let events = events(&run_exchange(&server, &input));
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert_eq!(events[0].get("event").unwrap().as_str(), Some("error"));
+        let message = events[0].get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("nesting"), "{message}");
+        assert_eq!(events_for(&events, "s", "stats").len(), 1);
     }
 
     #[test]
