@@ -11,7 +11,7 @@ use fault_model::metrics::Nines;
 
 use crate::counting::counting_reliability;
 use crate::deployment::Deployment;
-use crate::engine::{select_engine, AnalysisOutcome, Budget, EngineChoice, Scenario};
+use crate::engine::{AnalysisOutcome, Budget, Scenario};
 use crate::enumeration::{enumerate_reliability, RawReliability};
 use crate::protocol::{CountingModel, ProtocolModel};
 
@@ -177,15 +177,6 @@ pub fn analyze_scenario(
         });
     }
     Ok(crate::query::analyze_single(model, scenario, budget))
-}
-
-/// The engine [`analyze_auto`] would run for this triple, without running it.
-pub fn chosen_engine(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-) -> EngineChoice {
-    select_engine(model, scenario, budget)
 }
 
 /// Analyzes a counting model with the exact O(N³) fault-count engine.

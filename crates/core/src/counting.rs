@@ -211,6 +211,12 @@ mod tests {
     use fault_model::mode::FaultProfile;
     use proptest::prelude::*;
 
+    /// Reference `P[X = k]` for `X ~ Binomial(n, p)`, in closed form.
+    fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
+        let choose = (0..k).fold(1.0, |c, i| c * (n - i) as f64 / (i + 1) as f64);
+        choose * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32)
+    }
+
     #[test]
     fn distribution_sums_to_one() {
         let d = Deployment::uniform_mixed(9, 0.05, 0.01);
@@ -227,7 +233,7 @@ mod tests {
         let d = Deployment::uniform_crash(6, 0.1);
         let dist = FaultCountDistribution::from_deployment(&d);
         for k in 0..=6 {
-            let expected = quorum::metrics::binomial_pmf(6, k, 0.1);
+            let expected = binomial_pmf(6, k, 0.1);
             assert!((dist.probability(k, 0) - expected).abs() < 1e-12);
             assert!((dist.probability_total_faults(k) - expected).abs() < 1e-12);
         }

@@ -68,8 +68,8 @@ impl Scenario<'_> {
     /// this layer. The analyzer front door
     /// ([`crate::analyzer::analyze_scenario`]) rejects empty scenarios with
     /// [`AnalysisError::EmptyScenario`](crate::analyzer::AnalysisError); the
-    /// lower-level [`select_engine`] / [`run_selected`] panic with a clear message
-    /// rather than returning a vacuous report.
+    /// lower-level [`select_engine`] panics with a clear message rather than returning
+    /// a vacuous report.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -976,28 +976,6 @@ pub fn select_engine(
         .choice()
 }
 
-/// Runs the selected engine for this triple.
-///
-/// # Panics
-///
-/// Panics on an empty scenario; the fallible front door is
-/// [`crate::analyzer::analyze_scenario`].
-pub fn run_selected(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-) -> AnalysisOutcome {
-    assert!(
-        !scenario.is_empty(),
-        "cannot analyze an empty scenario (zero nodes); see analyzer::AnalysisError"
-    );
-    ENGINES
-        .iter()
-        .find(|engine| engine.supports(model, scenario, budget))
-        .expect("Monte Carlo supports every scenario")
-        .run(model, scenario, budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1213,7 +1191,9 @@ mod tests {
         let model = crate::durability::PersistenceQuorumModel::new(24, (0..4).collect());
         let deployment = Deployment::uniform_crash(24, 0.05);
         let budget = Budget::default().with_samples(30_000).with_seed(13);
-        let outcome = run_selected(&model, Scenario::from(&deployment), &budget);
+        let outcome =
+            crate::analyzer::analyze_scenario(&model, Scenario::from(&deployment), &budget)
+                .expect("well-formed scenario");
         assert_eq!(outcome.engine, EngineChoice::ImportanceSampling);
         assert!(!outcome.is_exact());
         assert!(outcome.monte_carlo.is_none());
@@ -1236,7 +1216,9 @@ mod tests {
         let model = RequiresNodeZero { n: 64 };
         let deployment = Deployment::uniform_crash(64, 0.05);
         let budget = Budget::default().with_samples(0);
-        let outcome = run_selected(&model, Scenario::from(&deployment), &budget);
+        let outcome =
+            crate::analyzer::analyze_scenario(&model, Scenario::from(&deployment), &budget)
+                .expect("well-formed scenario");
         assert_eq!(outcome.engine, EngineChoice::MonteCarlo);
         let mc = outcome
             .monte_carlo

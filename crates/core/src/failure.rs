@@ -7,7 +7,6 @@
 //! is one point of that space.
 
 use fault_model::mode::NodeState;
-use quorum::set::NodeSet;
 
 use crate::deployment::Deployment;
 
@@ -100,39 +99,6 @@ impl FailureConfig {
         self.len() - self.num_correct()
     }
 
-    /// The set of correct nodes.
-    pub fn correct_set(&self) -> NodeSet {
-        NodeSet::from_bools(
-            &self
-                .states
-                .iter()
-                .map(|s| s.is_correct())
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// The set of faulty nodes (crashed or Byzantine).
-    pub fn faulty_set(&self) -> NodeSet {
-        NodeSet::from_bools(
-            &self
-                .states
-                .iter()
-                .map(|s| s.is_faulty())
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// The set of Byzantine nodes.
-    pub fn byzantine_set(&self) -> NodeSet {
-        NodeSet::from_bools(
-            &self
-                .states
-                .iter()
-                .map(|&s| s == NodeState::Byzantine)
-                .collect::<Vec<_>>(),
-        )
-    }
-
     /// Probability of this exact configuration under `deployment` (independent nodes).
     pub fn probability(&self, deployment: &Deployment) -> f64 {
         assert_eq!(
@@ -178,9 +144,6 @@ mod tests {
         assert_eq!(c.num_crashed(), 1);
         assert_eq!(c.num_byzantine(), 1);
         assert_eq!(c.num_faulty(), 2);
-        assert_eq!(c.correct_set().to_vec(), vec![0, 3]);
-        assert_eq!(c.faulty_set().to_vec(), vec![1, 2]);
-        assert_eq!(c.byzantine_set().to_vec(), vec![2]);
         assert_eq!(format!("{c}"), "CXBC");
     }
 

@@ -12,10 +12,12 @@
 //! * **Non-finite policy.** JSON has no `NaN`/`Infinity` literal; [`JsonValue::number`]
 //!   maps them to `null`, and the writer refuses to invent non-standard tokens.
 //! * **Parser for wire input.** [`JsonValue::parse`] is a strict recursive-descent
-//!   parser (objects, arrays, strings with escapes, numbers, literals). It reads
-//!   every `repro serve` request line, so it is hardened against hostile input:
-//!   nesting deeper than [`MAX_NESTING_DEPTH`] is a [`JsonError`], never a stack
-//!   overflow. It is not a streaming parser; the server bounds line length.
+//!   parser (objects, arrays, strings with escapes, numbers, literals). Numbers
+//!   follow the RFC 8259 grammar: no leading zeros, at least one digit after `.`
+//!   and in an exponent. It reads every `repro serve` request line, so it is
+//!   hardened against hostile input: a number that overflows `f64` and nesting
+//!   deeper than [`MAX_NESTING_DEPTH`] are [`JsonError`]s, never an infinity or a
+//!   stack overflow. It is not a streaming parser; the server bounds line length.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -460,34 +462,50 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Skips a run of ASCII digits, erroring with `what` if there is none.
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.error(what));
+        }
+        Ok(())
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` (RFC 8259 §6); a
+    /// value that overflows `f64` is an error rather than an infinity.
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else {
+            self.digits("expected a digit")?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected a digit after '.'")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected a digit in the exponent")?;
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.error("malformed number"))
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok(JsonValue::Number(value)),
+            _ => Err(JsonError {
+                message: "number out of range for a 64-bit float".to_string(),
+                offset: start,
+            }),
+        }
     }
 }
 
@@ -652,6 +670,41 @@ mod tests {
         }
     }
 
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in [
+            "01", "-01", "00", "1.", "-.02", ".5", "-", "+1", "1e", "1e+", "1E-", "1.e3", "0x10",
+            "1e999", "-1e999", "1e309",
+        ] {
+            let err = JsonValue::parse(bad).expect_err(bad);
+            assert!(err.offset <= bad.len(), "{bad}: {err}");
+        }
+        assert!(JsonValue::parse("1e999")
+            .unwrap_err()
+            .message
+            .contains("out of range"));
+        let too_long = format!("1{}", "0".repeat(400));
+        assert!(JsonValue::parse(&too_long).is_err());
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-0.02", -0.02),
+            ("10", 10.0),
+            ("1E3", 1e3),
+            ("1e+3", 1e3),
+            ("2.5e-3", 2.5e-3),
+            ("0e0", 0.0),
+            ("1e-999", 0.0),
+        ] {
+            assert_eq!(
+                JsonValue::parse(good).unwrap().as_f64(),
+                Some(value),
+                "{good}"
+            );
+        }
+    }
+
     /// `depth` levels of alternating arrays and objects around a number.
     fn nested_document(depth: usize) -> String {
         let mut doc = "0".to_string();
@@ -696,7 +749,123 @@ mod tests {
         }
     }
 
+    /// Bytes that steer a random document into the parser's interesting states.
+    const JSON_ALPHABET: &[u8] = b"{}[]\",:0123456789-+.eE \\/ubfnrtalsx\x01\xc3\xa9";
+
+    /// Fragments spliced into valid documents: bad escapes, surrogates,
+    /// malformed and overflowing numbers, stray structure.
+    const MUTATIONS: &[&str] = &[
+        "\\q",
+        "\\u",
+        "\\ud800",
+        "\\udc00",
+        "\\ud83d\\ude00",
+        "\\ud800\\u0041",
+        "1e999",
+        "-1e999",
+        "1e-999",
+        "01",
+        "1.",
+        "-.02",
+        "-",
+        "\"",
+        "]",
+        "}",
+        "[",
+        "{",
+        ",",
+        ":",
+        "\u{1}",
+        "null",
+        "\u{e9}",
+    ];
+
+    /// A seeded random JSON tree: every kind of value, nested a few levels, with
+    /// awkward strings and arbitrary finite numbers.
+    fn random_value(rng: &mut rand::rngs::StdRng, depth: usize) -> JsonValue {
+        use rand::Rng;
+        let kind = rng.gen_range(0..if depth == 0 { 4usize } else { 6 });
+        match kind {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.gen()),
+            2 => JsonValue::number(f64::from_bits(rng.gen())),
+            3 => {
+                let len = rng.gen_range(0..6usize);
+                JsonValue::String(
+                    (0..len)
+                        .map(|_| {
+                            ['a', '"', '\\', '\n', '\u{1}', 'é', '😀', '/']
+                                [rng.gen_range(0..8usize)]
+                        })
+                        .collect(),
+                )
+            }
+            4 => JsonValue::Array(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..rng.gen_range(0..4usize))
+                    .map(|i| (format!("k{i}"), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Parses `doc`; whatever it accepts must re-render to a fixed point.
+    fn parse_never_panics(doc: &str) {
+        if let Ok(value) = JsonValue::parse(doc) {
+            let compact = value.to_compact_string();
+            assert_eq!(JsonValue::parse(&compact).unwrap(), value, "{doc:?}");
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..64)) {
+            parse_never_panics(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn json_shaped_bytes_never_panic(
+            picks in proptest::collection::vec(0usize..JSON_ALPHABET.len(), 0..48),
+        ) {
+            let bytes: Vec<u8> = picks.iter().map(|&i| JSON_ALPHABET[i]).collect();
+            parse_never_panics(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn mutated_documents_never_panic(
+            seed in 0u64..u64::MAX,
+            at in 0.0f64..1.0,
+            pick in 0usize..MUTATIONS.len(),
+            cut in 0usize..3,
+        ) {
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+            let mut doc = random_value(&mut rng, 3).to_compact_string();
+            let mut pos = (at * doc.len() as f64) as usize;
+            while !doc.is_char_boundary(pos) {
+                pos -= 1;
+            }
+            // Optionally drop a few bytes at the splice point before inserting.
+            let mut end = (pos + cut).min(doc.len());
+            while !doc.is_char_boundary(end) {
+                end += 1;
+            }
+            doc.replace_range(pos..end, MUTATIONS[pick]);
+            parse_never_panics(&doc);
+        }
+
+        #[test]
+        fn random_compact_documents_round_trip(seed in 0u64..u64::MAX) {
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+            let doc = random_value(&mut rng, 4).to_compact_string();
+            let parsed = JsonValue::parse(&doc);
+            proptest::prop_assert!(parsed.is_ok(), "rejected {doc:?}: {parsed:?}");
+            proptest::prop_assert_eq!(parsed.unwrap().to_compact_string(), doc);
+        }
+
         #[test]
         fn nesting_parses_exactly_up_to_the_cap(depth in 0usize..400) {
             let doc = nested_document(depth);

@@ -63,7 +63,8 @@
 //! * [`dynamic_quorum`] — smallest quorum sizes meeting a target guarantee.
 //! * [`leader`] — reliability-aware leader ranking and preemptive reconfiguration
 //!   planning.
-//! * [`committee`] — committee selection under heterogeneous reliability.
+//! * [`committee`] — committee selection under heterogeneous reliability, with seeded
+//!   uniform and reliability-weighted committee sampling.
 //! * [`timevarying`] — guarantees as a function of mission time under fault curves.
 //! * [`end_to_end`] — translating protocol-level safety/liveness into application-level
 //!   availability and durability.

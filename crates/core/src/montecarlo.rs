@@ -297,7 +297,8 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 }
 
 /// Derives the RNG seed of chunk `index` within a run seeded with `seed` (SplitMix64
-/// finalizer over the pair, so neighbouring chunks get decorrelated streams).
+/// finalizer over the pair, so neighbouring chunks get decorrelated streams). Committee
+/// sampling ([`crate::committee`]) seeds each round the same way.
 pub(crate) fn chunk_seed(seed: u64, index: u64) -> u64 {
     mix64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }

@@ -214,9 +214,9 @@ fn parse_faults(v: &JsonValue) -> Result<FaultAxis, String> {
         None => {}
     }
     if let Some(mixed) = v.get("mixed") {
-        return Ok(FaultAxis::Mixed {
-            byzantine: num_field(mixed, "byzantine", "mixed faults")?,
-        });
+        let byzantine = num_field(mixed, "byzantine", "mixed faults")?;
+        check_probability(byzantine, "mixed faults byzantine")?;
+        return Ok(FaultAxis::Mixed { byzantine });
     }
     Err("faults must be \"crash\", \"byzantine\" or {\"mixed\":{\"byzantine\":p}}".to_string())
 }
@@ -228,15 +228,15 @@ fn parse_correlation(v: &JsonValue) -> Result<CorrelationSpec, String> {
         None => {}
     }
     if let Some(shock) = v.get("cluster_shock") {
-        return Ok(CorrelationSpec::ClusterShock {
-            probability: num_field(shock, "probability", "cluster_shock")?,
-        });
+        let probability = num_field(shock, "probability", "cluster_shock")?;
+        check_probability(probability, "cluster_shock probability")?;
+        return Ok(CorrelationSpec::ClusterShock { probability });
     }
     if let Some(shock) = v.get("rack_shock") {
-        return Ok(CorrelationSpec::RackShock {
-            racks: usize_field(shock, "racks", "rack_shock")?,
-            probability: num_field(shock, "probability", "rack_shock")?,
-        });
+        let racks = usize_field(shock, "racks", "rack_shock")?;
+        let probability = num_field(shock, "probability", "rack_shock")?;
+        check_probability(probability, "rack_shock probability")?;
+        return Ok(CorrelationSpec::RackShock { racks, probability });
     }
     Err(
         "correlation must be \"independent\", {\"cluster_shock\":{...}} or {\"rack_shock\":{...}}"
@@ -249,8 +249,11 @@ fn parse_fault_probs(v: &JsonValue) -> Result<Vec<f64>, String> {
         return items
             .iter()
             .map(|p| {
-                p.as_f64()
-                    .ok_or_else(|| "fault_probs: not a number".to_string())
+                let p = p
+                    .as_f64()
+                    .ok_or_else(|| "fault_probs: not a number".to_string())?;
+                check_probability(p, "fault_probs item")?;
+                Ok(p)
             })
             .collect();
     }
@@ -258,9 +261,9 @@ fn parse_fault_probs(v: &JsonValue) -> Result<Vec<f64>, String> {
         let lo = num_field(spec, "lo", "logspace")?;
         let hi = num_field(spec, "hi", "logspace")?;
         let count = usize_field(spec, "count", "logspace")?;
-        if !(lo > 0.0 && hi >= lo && lo.is_finite() && hi.is_finite() && count >= 1) {
+        if !(lo > 0.0 && hi >= lo && hi <= 1.0 && count >= 1) {
             return Err(format!(
-                "logspace needs 0 < lo <= hi and count >= 1, got [{lo}, {hi}] x{count}"
+                "logspace needs 0 < lo <= hi <= 1 and count >= 1, got [{lo}, {hi}] x{count}"
             ));
         }
         return Ok(prob_consensus::query::logspace(lo, hi, count));
@@ -271,25 +274,34 @@ fn parse_fault_probs(v: &JsonValue) -> Result<Vec<f64>, String> {
     )
 }
 
+/// A deployment's node count: a positive integer.
+fn node_count(spec: &JsonValue, what: &str) -> Result<usize, String> {
+    match usize_field(spec, "n", what)? {
+        0 => Err(format!("{what}: 'n' must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn parse_deployment(v: &JsonValue) -> Result<Deployment, String> {
     if let Some(spec) = v.get("uniform_crash") {
-        let n = usize_field(spec, "n", "uniform_crash")?;
+        let n = node_count(spec, "uniform_crash")?;
         let p = num_field(spec, "p", "uniform_crash")?;
         check_probability(p, "uniform_crash p")?;
         return Ok(Deployment::uniform_crash(n, p));
     }
     if let Some(spec) = v.get("uniform_byzantine") {
-        let n = usize_field(spec, "n", "uniform_byzantine")?;
+        let n = node_count(spec, "uniform_byzantine")?;
         let p = num_field(spec, "p", "uniform_byzantine")?;
         check_probability(p, "uniform_byzantine p")?;
         return Ok(Deployment::uniform_byzantine(n, p));
     }
     if let Some(spec) = v.get("uniform_mixed") {
-        let n = usize_field(spec, "n", "uniform_mixed")?;
+        let n = node_count(spec, "uniform_mixed")?;
         let crash = num_field(spec, "crash", "uniform_mixed")?;
         let byzantine = num_field(spec, "byzantine", "uniform_mixed")?;
         check_probability(crash, "uniform_mixed crash")?;
         check_probability(byzantine, "uniform_mixed byzantine")?;
+        check_mixed(crash, byzantine, "uniform_mixed")?;
         return Ok(Deployment::uniform_mixed(n, crash, byzantine));
     }
     Err(
@@ -303,6 +315,18 @@ fn check_probability(p: f64, what: &str) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("{what} must be a probability in [0, 1], got {p}"))
+    }
+}
+
+/// A node's crash and Byzantine probabilities are exclusive outcomes, so they
+/// may sum to at most 1 (with `FaultProfile::new`'s rounding slack).
+fn check_mixed(crash: f64, byzantine: f64, what: &str) -> Result<(), String> {
+    if crash + byzantine <= 1.0 + 1e-12 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what}: crash + byzantine probability must not exceed 1, got {crash} + {byzantine}"
+        ))
     }
 }
 
@@ -385,6 +409,8 @@ pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
     let mut query = Query::new();
     let mut budget = Budget::default();
     let mut metrics = Metrics::default();
+    let mut max_fault_prob = 0.0f64;
+    let mut mixed_byzantine = None;
     for (key, value) in members {
         match key.as_str() {
             "protocols" => {
@@ -405,8 +431,18 @@ pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
                     .collect::<Result<_, _>>()?;
                 query = query.nodes(nodes);
             }
-            "fault_probs" => query = query.fault_probs(parse_fault_probs(value)?),
-            "faults" => query = query.faults(parse_faults(value)?),
+            "fault_probs" => {
+                let probs = parse_fault_probs(value)?;
+                max_fault_prob = probs.iter().copied().fold(0.0, f64::max);
+                query = query.fault_probs(probs);
+            }
+            "faults" => {
+                let faults = parse_faults(value)?;
+                if let FaultAxis::Mixed { byzantine } = faults {
+                    mixed_byzantine = Some(byzantine);
+                }
+                query = query.faults(faults);
+            }
             "correlations" => {
                 let specs: Vec<CorrelationSpec> = value
                     .as_array()
@@ -534,6 +570,9 @@ pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
             }
             other => return Err(format!("unknown query key '{other}'")),
         }
+    }
+    if let Some(byzantine) = mixed_byzantine {
+        check_mixed(max_fault_prob, byzantine, "mixed faults")?;
     }
     query = query.budget(budget);
     if query.cell_count() == 0 && query.trajectory_count() == 0 {
@@ -1663,6 +1702,73 @@ mod tests {
         // ...and the well-formed query after them still runs to completion.
         assert_eq!(events_for(&events, "ok", "done").len(), 1);
         assert_eq!(events_for(&events, "ok", "cell").len(), 1);
+    }
+
+    #[test]
+    fn out_of_range_probabilities_are_rejected_at_parse_time() {
+        let server = Arc::new(Server::new());
+        let cases = [
+            (r#""fault_probs":[1.5]"#, "fault_probs"),
+            (r#""fault_probs":[-0.1]"#, "fault_probs"),
+            (
+                r#""fault_probs":{"logspace":{"lo":0.1,"hi":2,"count":3}}"#,
+                "logspace",
+            ),
+            (
+                r#""fault_probs":[0.01],"correlations":[{"cluster_shock":{"probability":-3}}]"#,
+                "cluster_shock",
+            ),
+            (
+                r#""fault_probs":[0.01],"correlations":[{"rack_shock":{"racks":2,"probability":7}}]"#,
+                "rack_shock",
+            ),
+            (
+                r#""fault_probs":[0.01],"faults":{"mixed":{"byzantine":1.5}}"#,
+                "mixed",
+            ),
+            (
+                r#""fault_probs":[0.9],"faults":{"mixed":{"byzantine":0.5}}"#,
+                "crash + byzantine",
+            ),
+            // Cell deployments are built while parsing, outside the plan-time
+            // panic guard: these two used to take the whole server down.
+            (
+                r#""cells":[{"label":"c","model":"raft","deployment":{"uniform_mixed":{"n":3,"crash":0.7,"byzantine":0.7}}}]"#,
+                "crash + byzantine",
+            ),
+            (
+                r#""cells":[{"label":"c","model":"raft","deployment":{"uniform_crash":{"n":0,"p":0.1}}}]"#,
+                "'n' must be at least 1",
+            ),
+        ];
+        // An overflowing literal is refused by the JSON parser itself, before any
+        // field is read, so its error carries no request id.
+        let mut input = "{\"id\":\"inf\",\"op\":\"query\",\"query\":{\"protocols\":[\"raft\"],\"nodes\":[3],\"fault_probs\":[1e999]}}\n".to_string();
+        for (i, (body, _)) in cases.iter().enumerate() {
+            input.push_str(&format!(
+                "{{\"id\":\"bad{i}\",\"op\":\"query\",\"query\":{{\"protocols\":[\"raft\"],\"nodes\":[3],{body}}}}}\n"
+            ));
+        }
+        input.push_str(
+            "{\"id\":\"ok\",\"op\":\"query\",\"query\":{\"protocols\":[\"raft\"],\"nodes\":[3],\"fault_probs\":[0.01]}}\n\
+             {\"id\":\"bye\",\"op\":\"shutdown\"}\n",
+        );
+        let output = run_exchange(&server, &input);
+        let events = events(&output);
+        for (i, (body, needle)) in cases.iter().enumerate() {
+            let errors = events_for(&events, &format!("bad{i}"), "error");
+            assert_eq!(errors.len(), 1, "{body}: {output}");
+            let message = errors[0].get("message").unwrap().as_str().unwrap();
+            assert!(!message.starts_with("plan failed"), "{body}: {message}");
+            assert!(message.contains(needle), "{body}: {message}");
+        }
+        let overflow = events
+            .iter()
+            .find(|e| e.get("id").is_some_and(JsonValue::is_null))
+            .expect("the overflowing literal draws an error event");
+        let message = overflow.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("number out of range"), "{message}");
+        assert_eq!(events_for(&events, "ok", "done").len(), 1, "{output}");
     }
 
     #[test]

@@ -5,14 +5,13 @@
 //! crates, re-exported here for convenience:
 //!
 //! * [`fault_model`] — fault curves, failure modes, Markov reliability models, telemetry.
-//! * [`quorum`] — quorum systems and committee sampling.
 //! * [`consensus_sim`] — the deterministic discrete-event simulator.
 //! * [`consensus_protocols`] — executable Raft and PBFT plus harnesses.
 //! * [`prob_consensus`] — the probabilistic reliability analysis and the
-//!   probability-native mechanisms (the paper's primary contribution).
+//!   probability-native mechanisms, committee sampling included (the paper's
+//!   primary contribution).
 
 pub use consensus_protocols;
 pub use consensus_sim;
 pub use fault_model;
 pub use prob_consensus;
-pub use quorum;

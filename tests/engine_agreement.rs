@@ -399,7 +399,7 @@ fn importance_sampling_reaches_tail_probabilities_plain_sampling_cannot() {
     let budget = Budget::default().with_samples(60_000).with_seed(9);
     let scenario = Scenario::Independent(&deployment);
     assert_eq!(
-        prob_consensus::analyzer::chosen_engine(&model, scenario, &budget),
+        prob_consensus::engine::select_engine(&model, scenario, &budget),
         EngineChoice::ImportanceSampling
     );
     let outcome = prob_consensus::analyzer::analyze_scenario(&model, scenario, &budget)
