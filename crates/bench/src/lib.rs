@@ -30,6 +30,7 @@ use prob_consensus::optimize::{
     Placement, TargetSpec,
 };
 use prob_consensus::pbft_model::PbftModel;
+use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{
     AnalysisReport, AnalysisSession, CellRecord, CorrelationSpec, FaultAxis, ProtocolSpec, Query,
 };
@@ -763,6 +764,35 @@ pub fn rare_event_workload() -> (PersistenceQuorumModel, Deployment) {
     )
 }
 
+/// Benchmark id of the optimizer-shaped importance-sampling run: the engine's
+/// adaptive pilot plus a [`RARE_EVENT_RACKS_SAMPLES`]-sample estimate on the
+/// [`rare_event_racks_workload`] cell.
+pub const RARE_EVENT_RACKS_ID: &str = "rare-event/racks-100x10-importance";
+/// Sample budget of the racks row (the optimizer's default screening budget).
+pub const RARE_EVENT_RACKS_SAMPLES: usize = 20_000;
+
+/// The cell the correlated-durability optimizer search routes to importance
+/// sampling: 100 spot nodes at p_u = 10% over 10 racks with 1% crash shocks, and
+/// a 10-node persistence quorum with one member per rack (P\[loss\] ≈ 2e-10).
+/// Built through [`DeploymentSpace::candidates`], exactly as the optimizer builds it.
+pub fn rare_event_racks_workload() -> (Arc<dyn ProtocolModel + Send + Sync>, CorrelationModel) {
+    let space = DeploymentSpace {
+        instances: vec![NodeType::new("spot", 0.10, 0.10)],
+        nodes: vec![100],
+        domains: Some(FailureDomains {
+            racks: 10,
+            shock_probability: 0.01,
+        }),
+        placements: vec![Placement::CrossRack],
+        target: TargetSpec::PersistenceQuorum { quorum_size: 10 },
+    };
+    let candidate = space
+        .candidates()
+        .pop()
+        .expect("the cross-rack placement fits 10 racks");
+    (candidate.model, candidate.scenario)
+}
+
 /// Sample-efficiency of importance sampling on the p ≈ 1e-8 workload: how many
 /// plain Monte Carlo samples an equal-width 95% CI would cost, divided by the
 /// samples actually drawn. Tracked in `BENCH_analysis.json` across PRs; the
@@ -1332,6 +1362,19 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     }));
     out.push(time_one(RARE_EVENT_MC_ID, budget_ms, || {
         monte_carlo_independent_par(&m_re, &d_re, RARE_EVENT_SAMPLES, RARE_EVENT_SEED)
+    }));
+    // The optimizer-shaped cell: 100 nodes and 10 shock groups per draw, where
+    // per-draw setup in the weighted sampler dominates.
+    let (m_racks, s_racks) = rare_event_racks_workload();
+    let racks_budget = Budget::default()
+        .with_samples(RARE_EVENT_RACKS_SAMPLES)
+        .with_seed(RARE_EVENT_SEED);
+    out.push(time_one(RARE_EVENT_RACKS_ID, budget_ms, || {
+        prob_consensus::rare_event::ImportanceSamplingEngine.run(
+            m_racks.as_ref(),
+            Scenario::Correlated(&s_racks),
+            &racks_budget,
+        )
     }));
 
     // The sweep-amortization pair: the same grid of cells, planned-batch vs.

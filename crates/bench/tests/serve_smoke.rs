@@ -291,3 +291,80 @@ fn repeated_requests_hit_the_shared_cache() {
         "second request recomputed scratch"
     );
 }
+
+/// Runs `repro serve` over stdio on `input` (which must end with a shutdown
+/// request) and returns its stdout events and everything it wrote to stderr.
+fn serve_once(input: &str) -> (Vec<JsonValue>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro serve starts");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin.write_all(input.as_bytes()).expect("submit requests");
+    drop(stdin);
+    let output = child.wait_with_output().expect("repro serve exits");
+    assert!(
+        output.status.success(),
+        "serve exited with {}",
+        output.status
+    );
+    let events = String::from_utf8(output.stdout)
+        .expect("events are UTF-8")
+        .lines()
+        .map(|line| JsonValue::parse(line).expect("every event line is one JSON object"))
+        .collect();
+    (events, String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+#[test]
+fn serve_decodes_python_escaped_non_bmp_characters() {
+    // Verbatim `json.dumps` output: Python escapes every non-ASCII character and
+    // writes U+1F600 as the surrogate pair \ud83d\ude00.
+    let line = r#"{"id": "\ud83d\ude00", "op": "query", "query": {"protocols": ["raft"], "nodes": [3], "fault_probs": [0.01], "cells": [{"label": "pq-\ud83d\ude00", "model": {"persistence_quorum": {"quorum": [0, 1]}}, "deployment": {"uniform_crash": {"n": 4, "p": 0.01}}}]}}"#;
+    let (events, stderr) = serve_once(&format!("{line}\n{{\"id\":\"bye\",\"op\":\"shutdown\"}}\n"));
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| is_event(e, "\u{1F600}", "done"))
+            .count(),
+        1,
+        "{events:?}"
+    );
+    let labels: Vec<&str> = events
+        .iter()
+        .filter(|e| is_event(e, "\u{1F600}", "cell"))
+        .map(|e| {
+            e.get("cell")
+                .unwrap()
+                .get("label")
+                .unwrap()
+                .as_str()
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(labels.len(), 2, "{events:?}");
+    assert!(labels.contains(&"pq-\u{1F600}"), "{labels:?}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn serve_rejects_oversized_flexible_quorums_without_a_backtrace() {
+    let (events, stderr) = serve_once(
+        "{\"id\":\"flex\",\"op\":\"query\",\"query\":{\"protocols\":[{\"raft_flexible\":{\"q_per\":0,\"q_vc\":9}}],\"nodes\":[5],\"fault_probs\":[0.01]}}\n\
+         {\"id\":\"bye\",\"op\":\"shutdown\"}\n",
+    );
+    let errors: Vec<&JsonValue> = events
+        .iter()
+        .filter(|e| is_event(e, "flex", "error"))
+        .collect();
+    assert_eq!(errors.len(), 1, "{events:?}");
+    let message = errors[0].get("message").unwrap().as_str().unwrap();
+    assert!(message.contains("'q_per'"), "{message}");
+    assert!(
+        stderr.is_empty(),
+        "a rejected request wrote to stderr: {stderr}"
+    );
+}

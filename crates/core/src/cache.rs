@@ -1,10 +1,12 @@
 //! The concurrent cross-request session cache.
 //!
 //! An [`AnalysisSession`](crate::query::AnalysisSession) amortizes per-cell setup —
-//! scenario conversion, packed-kernel compilation, selector pilots, learned
-//! importance-sampling proposals — by keying reusable
-//! [`GroupScratch`](crate::query) off the *cell signature*: a content fingerprint
-//! of the (model, scenario) pair. Before the service layer existed, one plan at a
+//! packed-kernel compilation, selector pilots, learned importance-sampling
+//! proposals — by keying reusable [`GroupScratch`](crate::query) off the *cell
+//! signature*: a content fingerprint of the (model, scenario) pair. The scenario
+//! in the sampler's form, which those products are computed from, is not cached:
+//! a plan borrows or converts it for its own lifetime, so an entry holds only the
+//! products a hit returns. Before the service layer existed, one plan at a
 //! time touched that map and a plain `Mutex<HashMap>` with clear-on-cap was
 //! enough. A long-running `repro serve` process executes many plans concurrently,
 //! so the map here is a real cache:
@@ -168,7 +170,7 @@ impl SessionCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let scratch = Arc::new(GroupScratch::new());
+        let scratch = Arc::new(GroupScratch::default());
         shard.entries.insert(
             key,
             Entry {

@@ -428,11 +428,7 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs are not produced by our writer; accept
-                            // only scalar values and reject lone surrogates.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.error("invalid \\u escape"))?;
+                            let c = self.unicode_escape()?;
                             out.push(c);
                         }
                         _ => return Err(self.error("unknown escape")),
@@ -442,6 +438,29 @@ impl Parser<'_> {
                 None => return Err(self.error("unterminated string")),
             }
         }
+    }
+
+    /// The scalar value of a `\\u` escape whose `\\u` is already consumed. A
+    /// non-BMP character arrives as an escaped UTF-16 pair, high surrogate first
+    /// (`\\ud83d\\ude00` is U+1F600, as Python's `json.dumps` writes it); a lone,
+    /// reversed or truncated surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let high = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&high) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.error("unpaired surrogate in \\u escape"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.error("unpaired surrogate in \\u escape"));
+            }
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            high
+        };
+        // A lone low surrogate is the one code left that is not a scalar value.
+        char::from_u32(code).ok_or_else(|| self.error("unpaired surrogate in \\u escape"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -625,6 +644,47 @@ mod tests {
             JsonValue::parse("\"\\u0041\\u00e9\"").unwrap().as_str(),
             Some("Aé")
         );
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_scalar() {
+        for (escaped, decoded) in [
+            ("\"\\ud83d\\ude00\"", "😀"),
+            ("\"\\uD83D\\uDE00!\"", "😀!"),
+            ("\"\\ud800\\udc00\"", "\u{10000}"),
+            ("\"\\udbff\\udfff\"", "\u{10FFFF}"),
+            ("\"a\\ud834\\udd1eb\"", "a𝄞b"),
+        ] {
+            assert_eq!(
+                JsonValue::parse(escaped).unwrap().as_str(),
+                Some(decoded),
+                "{escaped}"
+            );
+        }
+        // The writer emits non-BMP characters raw; both spellings parse alike.
+        assert_eq!(
+            JsonValue::parse("\"😀\"").unwrap(),
+            JsonValue::parse("\"\\ud83d\\ude00\"").unwrap()
+        );
+    }
+
+    #[test]
+    fn lone_reversed_and_truncated_surrogates_are_rejected() {
+        for bad in [
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\n\"",
+            "\"\\ude00\"",
+            "\"\\ude00\\ud83d\"",
+            "\"\\ud83d\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d\\ude0\"",
+            "\"\\ud83d\\u",
+            "\"\\ud83d\\",
+            "\"\\ud83d",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

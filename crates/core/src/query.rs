@@ -14,10 +14,11 @@
 //!   [`Metrics`], and fully explicit cells ([`Query::cell`]) for scenarios the grid
 //!   axes cannot express.
 //! * [`AnalysisSession`] — owns the engine registry walk, the (optional, pinned)
-//!   rayon pool, and per-(model, scenario) reusable scratch: the converted
-//!   correlation model, compiled packed-kernel thresholds/LUTs, selector-pilot
-//!   estimates and importance-sampling proposals, all keyed by cell signature and
-//!   reused across cells, plans and queries.
+//!   rayon pool, and per-(model, scenario) reusable scratch: compiled
+//!   packed-kernel thresholds/LUTs, selector-pilot estimates and
+//!   importance-sampling proposals, all keyed by cell signature and reused across
+//!   cells, plans and queries. The scenario in the sampler's form lives only as
+//!   long as the plan that needs it.
 //! * [`AnalysisSession::plan`] → [`QueryPlan`] — engine selection for *all* cells up
 //!   front (validating the budget — see [`Budget::validate`] — and the cell shapes),
 //!   grouping cells that share a (model, scenario) signature so the expensive
@@ -46,13 +47,13 @@
 //! engine-selection rule and the same chunked `(seed, cell, chunk)` sampling code —
 //! the per-cell front doors are thin wrappers over a single-cell plan. Caching never
 //! changes results, because everything cached is a pure function of the cell
-//! signature: the correlation-model conversion and kernel compilation are
-//! value-deterministic, and the selector pilot / adaptive proposal are cached *per
-//! seed*, so a cache hit returns exactly what the per-cell call would have
-//! recomputed. Cells execute in parallel, but each cell's sampling is chunked by the
-//! thread-count-independent scheme of [`crate::montecarlo`], so reports are
-//! bit-identical at any thread count. `tests/engine_agreement.rs` pins this
-//! plan-vs-loop equivalence over a ≥100-cell grid at several thread counts.
+//! signature: kernel compilation is value-deterministic, and the selector pilot /
+//! adaptive proposal are cached *per seed*, so a cache hit returns exactly what the
+//! per-cell call would have recomputed. Cells execute in parallel, but each cell's
+//! sampling is chunked by the thread-count-independent scheme of
+//! [`crate::montecarlo`], so reports are bit-identical at any thread count.
+//! `tests/engine_agreement.rs` pins this plan-vs-loop equivalence over a ≥100-cell
+//! grid at several thread counts.
 //!
 //! # Example
 //!
@@ -1035,12 +1036,11 @@ impl Query {
 
 /// Per-(model, scenario) reusable scratch: everything expensive that is a pure
 /// function of the cell signature, computed lazily and shared by every cell of the
-/// group (and, for grid cells, across plans of the same session).
+/// group (and, for cached cells, across plans of the same session). Reached only
+/// through a plan's [`CellScratch`], which supplies the scenario in the sampler's
+/// form when one of these products must be computed.
 #[derive(Default)]
 pub(crate) struct GroupScratch {
-    /// The scenario converted to the sampler's form (one profile clone per group
-    /// instead of one per cell).
-    target: OnceLock<Arc<CorrelationModel>>,
     /// The compiled bit-sliced kernel (fixed-point thresholds + LUT), for counting
     /// models routed to the packed Monte Carlo kernel.
     packed: OnceLock<Arc<PackedKernel>>,
@@ -1051,15 +1051,36 @@ pub(crate) struct GroupScratch {
     proposals: Mutex<HashMap<(u64, u64), Arc<Proposal>>>,
 }
 
-impl GroupScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
+/// A cell group's scratch as one plan sees it: the session-cached
+/// [`GroupScratch`] plus the scenario in the sampler's form.
+///
+/// The converted scenario is deliberately not session-resident. Every cached
+/// product is computed from it on a miss and a hit never reads it, so caching it
+/// would only pin a copy of the scenario per cache entry for the session's
+/// lifetime. A correlated scenario already is in the sampler's form and is
+/// borrowed; an independent one is converted at most once per plan and dropped
+/// with it.
+#[derive(Default)]
+pub(crate) struct CellScratch {
+    group: Arc<GroupScratch>,
+    converted: OnceLock<CorrelationModel>,
+}
+
+impl CellScratch {
+    fn new(group: Arc<GroupScratch>) -> Self {
+        Self {
+            group,
+            converted: OnceLock::new(),
+        }
     }
 
-    fn target(&self, scenario: Scenario<'_>) -> Arc<CorrelationModel> {
-        self.target
-            .get_or_init(|| Arc::new(scenario.to_correlation_model()))
-            .clone()
+    fn target<'s>(&'s self, scenario: Scenario<'s>) -> &'s CorrelationModel {
+        match scenario {
+            Scenario::Correlated(model) => model,
+            Scenario::Independent(_) => self
+                .converted
+                .get_or_init(|| scenario.to_correlation_model()),
+        }
     }
 
     fn packed_kernel(
@@ -1067,18 +1088,19 @@ impl GroupScratch {
         model: &dyn crate::protocol::CountingModel,
         scenario: Scenario<'_>,
     ) -> Arc<PackedKernel> {
-        self.packed
-            .get_or_init(|| Arc::new(PackedKernel::new(model, &self.target(scenario))))
+        self.group
+            .packed
+            .get_or_init(|| Arc::new(PackedKernel::new(model, self.target(scenario))))
             .clone()
     }
 
     fn pilot_estimate(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>, seed: u64) -> f64 {
-        if let Some(&estimate) = self.pilots.lock().unwrap().get(&seed) {
+        if let Some(&estimate) = self.group.pilots.lock().unwrap().get(&seed) {
             return estimate;
         }
         let estimate =
-            crate::rare_event::naive_failure_estimate_with(model, &self.target(scenario), seed);
-        self.pilots.lock().unwrap().insert(seed, estimate);
+            crate::rare_event::naive_failure_estimate_with(model, self.target(scenario), seed);
+        self.group.pilots.lock().unwrap().insert(seed, estimate);
         estimate
     }
 
@@ -1089,11 +1111,12 @@ impl GroupScratch {
         budget: &Budget,
     ) -> Arc<Proposal> {
         let key = (budget.seed, budget.rare_event_tilt.to_bits());
-        if let Some(proposal) = self.proposals.lock().unwrap().get(&key) {
+        if let Some(proposal) = self.group.proposals.lock().unwrap().get(&key) {
             return proposal.clone();
         }
         let proposal = Arc::new(crate::rare_event::select_proposal(model, target, budget));
-        self.proposals
+        self.group
+            .proposals
             .lock()
             .unwrap()
             .entry(key)
@@ -1113,7 +1136,7 @@ pub(crate) fn choose_engine_prepared(
     model: &dyn ProtocolModel,
     scenario: Scenario<'_>,
     budget: &Budget,
-    scratch: &GroupScratch,
+    scratch: &CellScratch,
 ) -> EngineChoice {
     assert!(
         !scenario.is_empty(),
@@ -1159,7 +1182,7 @@ pub(crate) fn run_prepared(
     scenario: Scenario<'_>,
     budget: &Budget,
     choice: EngineChoice,
-    scratch: &GroupScratch,
+    scratch: &CellScratch,
 ) -> AnalysisOutcome {
     match choice {
         EngineChoice::Counting => CountingEngine.run(model, scenario, budget),
@@ -1176,18 +1199,17 @@ pub(crate) fn run_prepared(
                     ));
                 }
             }
-            let target = scratch.target(scenario);
             outcome_from_monte_carlo(crate::montecarlo::monte_carlo_scalar_par(
                 model,
-                &target,
+                scratch.target(scenario),
                 budget.monte_carlo_samples,
                 budget.seed,
             ))
         }
         EngineChoice::ImportanceSampling => {
             let target = scratch.target(scenario);
-            let proposal = scratch.proposal(model, &target, budget);
-            crate::rare_event::run_importance_sampling(model, &target, &proposal, budget)
+            let proposal = scratch.proposal(model, target, budget);
+            crate::rare_event::run_importance_sampling(model, target, &proposal, budget)
         }
         // Never planned (the simulation engine is outside the auto-selection
         // registry), but kept total so a pinned choice runs correctly.
@@ -1204,7 +1226,7 @@ pub(crate) fn analyze_single(
     scenario: Scenario<'_>,
     budget: &Budget,
 ) -> AnalysisOutcome {
-    let scratch = GroupScratch::new();
+    let scratch = CellScratch::default();
     let choice = choose_engine_prepared(model, scenario, budget, &scratch);
     run_prepared(model, scenario, budget, choice, &scratch)
 }
@@ -1227,11 +1249,10 @@ const EPISTEMIC_KEY_TAG: u64 = 2;
 /// first-order explicit cell of identical content, a grid cell, or an
 /// epistemic draw — the four namespaces differ in their first word. Candidates
 /// of *both* refinement tiers share one scratch group per (model, scenario)
-/// inside the namespace: the screening tier's converted correlation model and
-/// compiled kernel are reused by the importance-sampling re-score, and the
-/// re-score's learned proposal is reused by later searches of the same space
-/// (proposals are keyed by seed and tilt inside the group). Pinned by the
-/// cache-aliasing regression tests in [`crate::optimize`].
+/// inside the namespace: the screening tier's selector pilot and learned
+/// proposal are reused by the importance-sampling re-score and by later
+/// searches of the same space (proposals are keyed by seed and tilt inside the
+/// group). Pinned by the cache-aliasing regression tests in [`crate::optimize`].
 pub(crate) const OPTIMIZER_KEY_TAG: u64 = 3;
 
 /// Structural identity of a grid cell's (model, scenario) pair — the axes build
@@ -1357,7 +1378,7 @@ impl Default for AnalysisSession {
 
 impl AnalysisSession {
     /// Default bound on cached (model, scenario) scratch groups — a few thousand
-    /// compiled kernels and converted correlation models. Scratch is a pure
+    /// compiled kernels, pilot estimates and learned proposals. Scratch is a pure
     /// cache: eviction never changes results, only costs recomputation, and
     /// plans in flight keep their own `Arc`s, so eviction cannot invalidate a
     /// planned query.
@@ -1421,10 +1442,9 @@ impl AnalysisSession {
         self.cache.stats()
     }
 
-    /// Drops all cached per-(model, scenario) scratch (converted correlation
-    /// models, compiled packed kernels, pilot estimates, learned proposals).
-    /// Purely a memory lever: subsequent plans recompute on demand with
-    /// identical results.
+    /// Drops all cached per-(model, scenario) scratch (compiled packed kernels,
+    /// pilot estimates, learned proposals). Purely a memory lever: subsequent
+    /// plans recompute on demand with identical results.
     pub fn clear_scratch(&self) {
         self.cache.clear();
         self.models.lock().unwrap().clear();
@@ -1469,9 +1489,9 @@ impl AnalysisSession {
                                 k as u64,
                             ];
                             key.extend_from_slice(words);
-                            self.cache.get_or_insert(CacheKey::from_words(key))
+                            CellScratch::new(self.cache.get_or_insert(CacheKey::from_words(key)))
                         }
-                        None => Arc::new(GroupScratch::new()),
+                        None => CellScratch::default(),
                     };
                     PlannedDraw {
                         p: draw.p,
@@ -1532,9 +1552,10 @@ impl AnalysisSession {
                             let scenario = corr.apply(deployment.clone());
                             let key_words =
                                 grid_key_words(spec, n, p, query.fault_axis.key(), corr.key());
-                            let scratch = self
-                                .cache
-                                .get_or_insert(CacheKey::from_words(key_words.clone()));
+                            let scratch = Arc::new(CellScratch::new(
+                                self.cache
+                                    .get_or_insert(CacheKey::from_words(key_words.clone())),
+                            ));
                             // The epistemic draws of this coordinate, shared by
                             // its samples/environment replicates: the draw set
                             // depends only on (hyperparameters, seed), and the
@@ -1613,10 +1634,12 @@ impl AnalysisSession {
                         }
                         words
                     });
-                let scratch = match key_words.clone() {
-                    Some(words) => self.cache.get_or_insert(CacheKey::from_words(words)),
-                    None => Arc::new(GroupScratch::new()),
-                };
+                let scratch = Arc::new(match key_words.clone() {
+                    Some(words) => {
+                        CellScratch::new(self.cache.get_or_insert(CacheKey::from_words(words)))
+                    }
+                    None => CellScratch::default(),
+                });
                 let draws = self.plan_draws(budget, &explicit.scenario, key_words.as_deref());
                 let engine =
                     choose_engine_prepared(explicit.model.as_ref(), scenario, budget, &scratch);
@@ -1698,7 +1721,7 @@ struct PlannedCell {
     scenario: ScenarioSpec,
     budget: Budget,
     engine: EngineChoice,
-    scratch: Arc<GroupScratch>,
+    scratch: Arc<CellScratch>,
     /// The second-order posterior draws of this cell (empty for first-order
     /// budgets), shared across the samples/environment replicates of one grid
     /// coordinate.
@@ -1716,7 +1739,7 @@ struct PlannedDraw {
     p: f64,
     scale: f64,
     scenario: ScenarioSpec,
-    scratch: Arc<GroupScratch>,
+    scratch: CellScratch,
 }
 
 /// A planned query: every cell's engine is already selected and every group's
@@ -2291,7 +2314,7 @@ impl QueryPlan {
                     Some(kernel) => kernel.sample_chunk(&mut rng, count, cell.budget.mc_lane_words),
                     None => {
                         let target = cell.scratch.target(cell.scenario.as_scenario());
-                        sample_chunk(cell.model.as_ref(), &target, count, &mut rng)
+                        sample_chunk(cell.model.as_ref(), target, count, &mut rng)
                     }
                 };
                 ItemOutput::Hits(hits)

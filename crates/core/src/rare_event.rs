@@ -67,6 +67,24 @@
 //! wide rule-of-three intervals, flagged by the ESS/CI diagnostics — it just loses
 //! its efficiency edge.
 //!
+//! # The draw kernel
+//!
+//! Every draw walks all nodes and shocks, so the per-node work is the cost of both
+//! the pilot (3 × 8,192 draws per proposal) and the estimator. Everything in that
+//! work except the uniform variates depends only on the `(target, proposal)` pair,
+//! so once per pilot round and once per estimator run the pair is compiled into a
+//! flat table that every chunk shares. Each node row holds the `[target,
+//! proposal]` Byzantine and fault thresholds and the factor `q/p` of each
+//! outcome; each shock row holds `[p, q]` and the not-fired and fired factors. A
+//! draw picks its mixture side once, then per node compares against two
+//! thresholds and does one `ratio *= factor`, with no division.
+//!
+//! The table is **bit-identical** to evaluating the formulas per draw: its entries
+//! are the same operands computed by the same operations (`crash + byz`,
+//! `q.probability_of(s) / p.probability_of(s)`, `(1−q)/(1−p)`), and the draw
+//! multiplies them into the running ratio in the same order. Unit tests pin the
+//! proposals and estimates of the per-draw formulas bit for bit.
+//!
 //! # Parallelism and determinism
 //!
 //! The sampler reuses the Monte Carlo engine's chunked `(seed, chunk)` scheme
@@ -77,7 +95,7 @@
 //! sequentially. Reports are therefore bit-identical across thread counts for a
 //! fixed seed, pilot rounds included.
 
-use fault_model::correlation::CorrelationModel;
+use fault_model::correlation::{CorrelationGroup, CorrelationModel};
 use fault_model::mode::{FaultProfile, NodeState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -228,8 +246,9 @@ impl Proposal {
         let mut shock_score = vec![0.0f64; target.groups().len()];
         for round in 0..PILOT_ROUNDS {
             let round_seed = chunk_seed(seed, PILOT_SEED_TAG + round as u64);
+            let table = DrawTable::new(target, &proposal);
             let tally = map_sample_chunks(PILOT_SAMPLES, round_seed, |rng, count| {
-                pilot_chunk(model, target, &proposal, count, rng)
+                pilot_chunk(model, target, &table, count, rng)
             })
             .into_iter()
             .fold(PilotTally::new(target), PilotTally::merge);
@@ -334,64 +353,120 @@ impl Proposal {
     }
 }
 
-/// One weighted draw from the defensive mixture, written into a caller-provided
-/// scratch configuration (the tilted counterpart of
-/// [`CorrelationModel::sample_into`] — the estimator loops are allocation-free, one
-/// scratch buffer per work chunk). Returns the importance weight `p/m`; which shocks
-/// fired (needed by the pilot's CE update) lands in `fired`.
-fn draw_weighted_into<R: Rng + ?Sized>(
-    target: &CorrelationModel,
-    proposal: &Proposal,
-    rng: &mut R,
-    fired: &mut Vec<bool>,
-    config: &mut FailureConfig,
-) -> f64 {
-    let beta = DEFENSIVE_TARGET_FRACTION;
-    let from_target = rng.gen::<f64>() < beta;
-    // `ratio` accumulates q(x)/p(x) over the latent factors. An overflow to ∞ means
-    // the true weight underflows f64 — the sample contributes (correctly) nothing —
-    // and an underflow to 0 correctly saturates the weight at its bound 1/β.
-    let mut ratio = 1.0f64;
-    let states = config.states_mut();
-    for (slot, (p, q)) in states
-        .iter_mut()
-        .zip(target.profiles().iter().zip(&proposal.profiles))
-    {
-        let d = if from_target { p } else { q };
-        let u: f64 = rng.gen();
-        let state = if u < d.byzantine_probability() {
-            NodeState::Byzantine
-        } else if u < d.fault_probability() {
-            NodeState::Crashed
-        } else {
-            NodeState::Correct
-        };
-        ratio *= q.probability_of(state) / p.probability_of(state);
-        *slot = state;
-    }
-    fired.clear();
-    for (group, &q_shock) in target.groups().iter().zip(&proposal.shocks) {
-        let p_shock = group.shock_probability;
-        let d = if from_target { p_shock } else { q_shock };
-        let shock = rng.gen::<f64>() < d;
-        ratio *= if shock {
-            q_shock / p_shock
-        } else {
-            (1.0 - q_shock) / (1.0 - p_shock)
-        };
-        if shock {
-            for &m in &group.members {
-                states[m] = match (states[m], group.shock_mode) {
-                    // Mirrors `CorrelationModel::sample_into`: Byzantine never
-                    // downgrades.
-                    (NodeState::Byzantine, _) => NodeState::Byzantine,
-                    (_, mode) => mode,
-                };
-            }
+/// The node states in draw-table order: the index a draw lands on selects both the
+/// state and its likelihood ratio in a [`NodeRow`].
+const DRAW_STATES: [NodeState; 3] = [NodeState::Correct, NodeState::Crashed, NodeState::Byzantine];
+
+/// One node of a [`DrawTable`]. The threshold pairs are indexed by mixture side
+/// (0 = target, 1 = proposal); `ratio` holds `q/p` per [`DRAW_STATES`] entry.
+#[derive(Debug, Clone, Copy)]
+struct NodeRow {
+    byzantine: [f64; 2],
+    fault: [f64; 2],
+    ratio: [f64; 3],
+}
+
+/// One correlation group of a [`DrawTable`]: the shock probability by mixture side
+/// (`[p, q]`) and the likelihood-ratio factor by outcome (`[not fired, fired]`).
+#[derive(Debug, Clone, Copy)]
+struct ShockRow<'a> {
+    probability: [f64; 2],
+    ratio: [f64; 2],
+    group: &'a CorrelationGroup,
+}
+
+/// A proposal compiled against its target for the draw loop: everything a draw
+/// needs that depends only on the `(target, proposal)` pair, shared read-only by
+/// every chunk (see the module docs for why its draws are bit-identical to the
+/// per-draw formulas). Entries for outcomes the target cannot produce (`0/0`) are
+/// never read: the invariants of [`Proposal`] keep those outcomes unreachable on
+/// both sides.
+struct DrawTable<'a> {
+    nodes: Vec<NodeRow>,
+    shocks: Vec<ShockRow<'a>>,
+}
+
+impl<'a> DrawTable<'a> {
+    fn new(target: &'a CorrelationModel, proposal: &Proposal) -> Self {
+        proposal.assert_matches(target);
+        Self {
+            nodes: target
+                .profiles()
+                .iter()
+                .zip(&proposal.profiles)
+                .map(|(p, q)| NodeRow {
+                    byzantine: [p.byzantine_probability(), q.byzantine_probability()],
+                    fault: [p.fault_probability(), q.fault_probability()],
+                    ratio: DRAW_STATES
+                        .map(|state| q.probability_of(state) / p.probability_of(state)),
+                })
+                .collect(),
+            shocks: target
+                .groups()
+                .iter()
+                .zip(&proposal.shocks)
+                .map(|(group, &q)| {
+                    let p = group.shock_probability;
+                    ShockRow {
+                        probability: [p, q],
+                        ratio: [(1.0 - q) / (1.0 - p), q / p],
+                        group,
+                    }
+                })
+                .collect(),
         }
-        fired.push(shock);
     }
-    1.0 / (beta + (1.0 - beta) * ratio)
+
+    /// One weighted draw from the defensive mixture, written into a
+    /// caller-provided scratch configuration (the tilted counterpart of
+    /// [`CorrelationModel::sample_into`] — the estimator loops are allocation-free,
+    /// one scratch buffer per work chunk). Returns the importance weight `p/m`;
+    /// which shocks fired (needed by the pilot's requiredness update) lands in
+    /// `fired`.
+    fn draw_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        fired: &mut Vec<bool>,
+        config: &mut FailureConfig,
+    ) -> f64 {
+        let beta = DEFENSIVE_TARGET_FRACTION;
+        let side = usize::from(rng.gen::<f64>() >= beta);
+        // `ratio` accumulates q(x)/p(x) over the latent factors. An overflow to ∞
+        // means the true weight underflows f64 — the sample contributes (correctly)
+        // nothing — and an underflow to 0 correctly saturates the weight at its
+        // bound 1/β.
+        let mut ratio = 1.0f64;
+        let states = config.states_mut();
+        for (slot, row) in states.iter_mut().zip(&self.nodes) {
+            let u: f64 = rng.gen();
+            let drawn = if u < row.byzantine[side] {
+                2
+            } else if u < row.fault[side] {
+                1
+            } else {
+                0
+            };
+            ratio *= row.ratio[drawn];
+            *slot = DRAW_STATES[drawn];
+        }
+        fired.clear();
+        for row in &self.shocks {
+            let shock = rng.gen::<f64>() < row.probability[side];
+            ratio *= row.ratio[usize::from(shock)];
+            if shock {
+                for &m in &row.group.members {
+                    states[m] = match (states[m], row.group.shock_mode) {
+                        // Mirrors `CorrelationModel::sample_into`: Byzantine never
+                        // downgrades.
+                        (NodeState::Byzantine, _) => NodeState::Byzantine,
+                        (_, mode) => mode,
+                    };
+                }
+            }
+            fired.push(shock);
+        }
+        1.0 / (beta + (1.0 - beta) * ratio)
+    }
 }
 
 /// Per-chunk weighted tallies of the final estimator. Folded sequentially in chunk
@@ -426,16 +501,15 @@ impl WeightedTally {
 
 fn estimator_chunk<M: ProtocolModel + ?Sized>(
     model: &M,
-    target: &CorrelationModel,
-    proposal: &Proposal,
+    table: &DrawTable<'_>,
     count: usize,
     rng: &mut impl Rng,
 ) -> WeightedTally {
     let mut tally = WeightedTally::default();
-    let mut fired = Vec::with_capacity(target.groups().len());
-    let mut config = FailureConfig::all_correct(target.len());
+    let mut fired = Vec::with_capacity(table.shocks.len());
+    let mut config = FailureConfig::all_correct(table.nodes.len());
     for _ in 0..count {
-        let w = draw_weighted_into(target, proposal, rng, &mut fired, &mut config);
+        let w = table.draw_into(rng, &mut fired, &mut config);
         let safe = model.is_safe(&config);
         let live = model.is_live(&config);
         let w2 = w * w;
@@ -496,15 +570,15 @@ impl PilotTally {
 fn pilot_chunk<M: ProtocolModel + ?Sized>(
     model: &M,
     target: &CorrelationModel,
-    proposal: &Proposal,
+    table: &DrawTable<'_>,
     count: usize,
     rng: &mut impl Rng,
 ) -> PilotTally {
     let mut tally = PilotTally::new(target);
-    let mut fired = Vec::with_capacity(target.groups().len());
-    let mut config = FailureConfig::all_correct(target.len());
+    let mut fired = Vec::with_capacity(table.shocks.len());
+    let mut config = FailureConfig::all_correct(table.nodes.len());
     for _ in 0..count {
-        draw_weighted_into(target, proposal, rng, &mut fired, &mut config);
+        table.draw_into(rng, &mut fired, &mut config);
         if model.is_safe(&config) && model.is_live(&config) {
             continue;
         }
@@ -585,9 +659,9 @@ pub fn importance_sampling_reliability_par<M: ProtocolModel + ?Sized>(
         target.len(),
         "model and failure model disagree on the cluster size"
     );
-    proposal.assert_matches(target);
+    let table = DrawTable::new(target, proposal);
     let tally = map_sample_chunks(samples, seed, |rng, count| {
-        estimator_chunk(model, target, proposal, count, rng)
+        estimator_chunk(model, &table, count, rng)
     })
     .into_iter()
     .fold(WeightedTally::default(), WeightedTally::merge);
@@ -776,7 +850,7 @@ mod tests {
     use crate::durability::PersistenceQuorumModel;
     use crate::engine::Budget;
     use crate::raft_model::RaftModel;
-    use fault_model::correlation::CorrelationGroup;
+    use std::sync::Arc;
 
     fn crash_model(n: usize, p: f64) -> CorrelationModel {
         CorrelationModel::independent(vec![FaultProfile::crash_only(p); n])
@@ -979,6 +1053,263 @@ mod tests {
         );
         // P[loss] ≈ 4e-11; the pilot sees nothing and the majority proxy takes over.
         assert!(estimate < 1e-6, "got {estimate}");
+    }
+
+    /// An order-sensitive multiply-rotate digest of f64 bit patterns, pinning a
+    /// whole proposal in one word.
+    fn bits_digest(values: impl IntoIterator<Item = f64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, v| {
+            (hash ^ v.to_bits())
+                .wrapping_mul(0x0000_0100_0000_01b3)
+                .rotate_left(29)
+        })
+    }
+
+    fn proposal_digest(proposal: &Proposal) -> u64 {
+        bits_digest(
+            proposal
+                .profiles()
+                .iter()
+                .flat_map(|q| [q.crash_probability(), q.byzantine_probability()])
+                .chain(proposal.shocks().iter().copied()),
+        )
+    }
+
+    /// Every estimate field of a report, plus the ESS, as bit patterns.
+    fn report_bits(report: &RareEventReport) -> [u64; 10] {
+        let [s, l, b] = [report.safe, report.live, report.safe_and_live];
+        [
+            s.value, s.lower, s.upper, l.value, l.lower, l.upper, b.value, b.lower, b.upper,
+            report.ess,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// One pinned importance-sampling case; its expected bits live in [`PINNED`].
+    struct Pin {
+        name: &'static str,
+        model: Arc<dyn ProtocolModel + Send + Sync>,
+        target: CorrelationModel,
+        proposal: fn(&dyn ProtocolModel, &CorrelationModel) -> Proposal,
+        samples: usize,
+        seed: u64,
+    }
+
+    fn pins() -> Vec<Pin> {
+        use crate::optimize::{DeploymentSpace, FailureDomains, NodeType, Placement, TargetSpec};
+        let adaptive: fn(&dyn ProtocolModel, &CorrelationModel) -> Proposal =
+            |model, target| Proposal::adaptive(model, target, 43);
+        let pin = |name, model, target, proposal, samples, seed| Pin {
+            name,
+            model,
+            target,
+            proposal,
+            samples,
+            seed,
+        };
+        let mut pins = vec![pin(
+            "pq n=28 p=0.0125",
+            Arc::new(PersistenceQuorumModel::new(28, vec![0, 1, 2, 3])) as Arc<_>,
+            crash_model(28, 0.0125),
+            adaptive,
+            20_000,
+            43,
+        )];
+        // The optimizer's correlated-durability cells: 100 nodes over 10 shocked
+        // racks, a 10-node quorum placed in one rack or across all of them.
+        let racks = DeploymentSpace {
+            instances: vec![NodeType::new("spot", 0.1, 0.1)],
+            nodes: vec![100],
+            domains: Some(FailureDomains {
+                racks: 10,
+                shock_probability: 0.01,
+            }),
+            placements: vec![Placement::SameRack, Placement::CrossRack],
+            target: TargetSpec::PersistenceQuorum { quorum_size: 10 },
+        };
+        for (name, candidate) in ["racks 100x10 same-rack", "racks 100x10 cross-rack"]
+            .into_iter()
+            .zip(racks.candidates())
+        {
+            pins.push(pin(
+                name,
+                candidate.model,
+                candidate.scenario,
+                adaptive,
+                20_000,
+                7,
+            ));
+        }
+        let mixed = CorrelationModel::independent(vec![FaultProfile::new(0.03, 0.01); 7])
+            .with_group(CorrelationGroup::byzantine_shock(vec![0, 1, 2], 0.002))
+            .with_group(CorrelationGroup::crash_shock(vec![3, 4, 5, 6], 0.005));
+        pins.push(pin(
+            "mixed pbft n=7",
+            Arc::new(crate::pbft_model::PbftModel::standard(7)),
+            mixed,
+            adaptive,
+            20_000,
+            5,
+        ));
+        let shocked =
+            crash_model(9, 0.02).with_group(CorrelationGroup::crash_shock((0..9).collect(), 0.001));
+        let samples = 2 * crate::montecarlo::MC_CHUNK_SIZE + 13;
+        pins.push(pin(
+            "raft n=9 identity",
+            Arc::new(RaftModel::standard(9)),
+            shocked.clone(),
+            |_, target| Proposal::identity(target),
+            samples,
+            99,
+        ));
+        pins.push(pin(
+            "raft n=9 uniform tilt 8",
+            Arc::new(RaftModel::standard(9)),
+            shocked,
+            |_, target| Proposal::uniform_tilt(target, 8.0),
+            samples,
+            99,
+        ));
+        pins
+    }
+
+    /// `(case, proposal digest, report bits)` of every [`pins`] case, recorded at
+    /// the per-draw-division kernel the compiled draw table replaced.
+    const PINNED: [(&str, u64, [u64; 10]); 6] = [
+        (
+            "pq n=28 p=0.0125",
+            0xfaa7_8da5_acf2_d78e,
+            [
+                0x3fef_ffff_f323_4bde,
+                0x3fef_ffff_f2bf_3dbf,
+                0x3fef_ffff_f387_59fd,
+                0x3ff0_0000_0000_0000,
+                0x3fef_fd92_9124_81a4,
+                0x3ff0_0000_0000_0000,
+                0x3fef_ffff_f323_4bde,
+                0x3fef_ffff_f2bf_3dbf,
+                0x3fef_ffff_f387_59fd,
+                0x40c3_c60d_fe44_8057,
+            ],
+        ),
+        (
+            "racks 100x10 same-rack",
+            0x600c_054d_075e_e398,
+            [
+                0x3fef_a4a2_28c4_ab5a,
+                0x3fef_93be_30bf_0d7c,
+                0x3fef_b586_20ca_4938,
+                0x3ff0_0000_0000_0000,
+                0x3fef_fd88_547b_0243,
+                0x3ff0_0000_0000_0000,
+                0x3fef_a4a2_28c4_ab5a,
+                0x3fef_93be_30bf_0d7c,
+                0x3fef_b586_20ca_4938,
+                0x40c3_7404_9fc5_208f,
+            ],
+        ),
+        (
+            "racks 100x10 cross-rack",
+            0xb14e_0ad2_f699_65e2,
+            [
+                0x3fef_ffff_ffac_1a2e,
+                0x3fef_ffff_ff2c_b5ce,
+                0x3ff0_0000_0000_0000,
+                0x3ff0_0000_0000_0000,
+                0x3fef_fd88_6d04_291e,
+                0x3ff0_0000_0000_0000,
+                0x3fef_ffff_ffac_1a2e,
+                0x3fef_ffff_ff2c_b5ce,
+                0x3ff0_0000_0000_0000,
+                0x40c3_74c6_1735_08f3,
+            ],
+        ),
+        (
+            "mixed pbft n=7",
+            0x66fd_94a6_7820_d745,
+            [
+                0x3fef_ee88_d12d_0426,
+                0x3fef_eb5e_445b_6308,
+                0x3fef_f1b3_5dfe_a544,
+                0x3fef_b4d0_49a3_9dba,
+                0x3fef_acf2_4f72_ca83,
+                0x3fef_bcae_43d4_70f1,
+                0x3fef_b4d0_49a3_9dba,
+                0x3fef_acf2_4f72_ca83,
+                0x3fef_bcae_43d4_70f1,
+                0x40c7_65a2_042d_4397,
+            ],
+        ),
+        (
+            "raft n=9 identity",
+            0x437e_8483_97dc_6207,
+            [
+                0x3ff0_0000_0000_0000,
+                0x3fef_fd01_3781_7369,
+                0x3ff0_0000_0000_0000,
+                0x3fef_f902_d6d8_b7f5,
+                0x3fef_f3d6_0010_644b,
+                0x3fef_fe2f_ada1_0b9f,
+                0x3fef_f902_d6d8_b7f5,
+                0x3fef_f3d6_0010_644b,
+                0x3fef_fe2f_ada1_0b9f,
+                0x40c0_0680_0000_0000,
+            ],
+        ),
+        (
+            "raft n=9 uniform tilt 8",
+            0xe9d3_3bc3_f635_396e,
+            [
+                0x3ff0_0000_0000_0000,
+                0x3fef_fbb1_caad_9437,
+                0x3ff0_0000_0000_0000,
+                0x3fef_f6f7_060e_8989,
+                0x3fef_f288_22c7_78d2,
+                0x3fef_fb65_e955_9a40,
+                0x3fef_f6f7_060e_8989,
+                0x3fef_f288_22c7_78d2,
+                0x3fef_fb65_e955_9a40,
+                0x40b6_4c0b_dd92_5cbb,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn proposals_and_estimates_are_pinned_bit_for_bit() {
+        let pins = pins();
+        assert_eq!(pins.len(), PINNED.len());
+        for threads in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            for (pin, &(name, digest, bits)) in pins.iter().zip(&PINNED) {
+                assert_eq!(pin.name, name);
+                let (proposal, report) = pool.install(|| {
+                    let proposal = (pin.proposal)(pin.model.as_ref(), &pin.target);
+                    let report = importance_sampling_reliability_par(
+                        pin.model.as_ref(),
+                        &pin.target,
+                        &proposal,
+                        pin.samples,
+                        pin.seed,
+                    );
+                    (proposal, report)
+                });
+                assert_eq!(
+                    proposal_digest(&proposal),
+                    digest,
+                    "{} proposal at {threads} threads",
+                    pin.name
+                );
+                assert_eq!(
+                    report_bits(&report),
+                    bits,
+                    "{} report at {threads} threads",
+                    pin.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -318,6 +318,22 @@ fn check_probability(p: f64, what: &str) -> Result<(), String> {
     }
 }
 
+/// Flexible quorum sizes must fit every swept cluster size; the model
+/// constructor would only assert at plan time. Empty clusters are left to the
+/// planner, which rejects them by name.
+fn check_flexible_quorums(q_per: usize, q_vc: usize, nodes: &[usize]) -> Result<(), String> {
+    for &n in nodes.iter().filter(|&&n| n > 0) {
+        for (name, q) in [("q_per", q_per), ("q_vc", q_vc)] {
+            if !(1..=n).contains(&q) {
+                return Err(format!(
+                    "raft_flexible: '{name}' must be in 1..={n} for nodes {n}, got {q}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A node's crash and Byzantine probabilities are exclusive outcomes, so they
 /// may sum to at most 1 (with `FaultProfile::new`'s rounding slack).
 fn check_mixed(crash: f64, byzantine: f64, what: &str) -> Result<(), String> {
@@ -411,25 +427,27 @@ pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
     let mut metrics = Metrics::default();
     let mut max_fault_prob = 0.0f64;
     let mut mixed_byzantine = None;
+    let mut protocols = Vec::new();
+    let mut nodes = Vec::new();
     for (key, value) in members {
         match key.as_str() {
             "protocols" => {
-                let specs: Vec<ProtocolSpec> = value
+                protocols = value
                     .as_array()
                     .ok_or("protocols must be an array")?
                     .iter()
                     .map(parse_protocol)
                     .collect::<Result<_, _>>()?;
-                query = query.protocols(specs);
+                query = query.protocols(protocols.clone());
             }
             "nodes" => {
-                let nodes: Vec<usize> = value
+                nodes = value
                     .as_array()
                     .ok_or("nodes must be an array")?
                     .iter()
                     .map(|n| as_usize(n).ok_or("nodes: not a non-negative integer".to_string()))
                     .collect::<Result<_, _>>()?;
-                query = query.nodes(nodes);
+                query = query.nodes(nodes.clone());
             }
             "fault_probs" => {
                 let probs = parse_fault_probs(value)?;
@@ -573,6 +591,11 @@ pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
     }
     if let Some(byzantine) = mixed_byzantine {
         check_mixed(max_fault_prob, byzantine, "mixed faults")?;
+    }
+    for spec in &protocols {
+        if let ProtocolSpec::RaftFlexible { q_per, q_vc } = *spec {
+            check_flexible_quorums(q_per, q_vc, &nodes)?;
+        }
     }
     query = query.budget(budget);
     if query.cell_count() == 0 && query.trajectory_count() == 0 {
@@ -1768,6 +1791,56 @@ mod tests {
             .expect("the overflowing literal draws an error event");
         let message = overflow.get("message").unwrap().as_str().unwrap();
         assert!(message.contains("number out of range"), "{message}");
+        assert_eq!(events_for(&events, "ok", "done").len(), 1, "{output}");
+    }
+
+    #[test]
+    fn flexible_quorum_sizes_are_checked_at_parse_time() {
+        let server = Arc::new(Server::new());
+        let flex = |q_per: usize, q_vc: usize| {
+            format!(r#"{{"raft_flexible":{{"q_per":{q_per},"q_vc":{q_vc}}}}}"#)
+        };
+        let cases = [
+            (
+                format!(r#""protocols":[{}],"nodes":[3]"#, flex(0, 2)),
+                "'q_per' must be in 1..=3",
+            ),
+            (
+                format!(r#""protocols":[{}],"nodes":[3]"#, flex(2, 0)),
+                "'q_vc' must be in 1..=3",
+            ),
+            // Valid at 9 nodes, too large at 3: every swept size is checked.
+            (
+                format!(r#""protocols":["raft",{}],"nodes":[9,3]"#, flex(4, 2)),
+                "'q_per' must be in 1..=3",
+            ),
+            // The nodes axis may precede the protocols axis.
+            (
+                format!(r#""nodes":[5],"protocols":[{}]"#, flex(3, 9)),
+                "'q_vc' must be in 1..=5",
+            ),
+        ];
+        let mut input = String::new();
+        for (i, (axes, _)) in cases.iter().enumerate() {
+            input.push_str(&format!(
+                "{{\"id\":\"bad{i}\",\"op\":\"query\",\"query\":{{{axes},\"fault_probs\":[0.01]}}}}\n"
+            ));
+        }
+        input.push_str(&format!(
+            "{{\"id\":\"ok\",\"op\":\"query\",\"query\":{{\"protocols\":[{}],\"nodes\":[3,5],\"fault_probs\":[0.01]}}}}\n\
+             {{\"id\":\"bye\",\"op\":\"shutdown\"}}\n",
+            flex(3, 1)
+        ));
+        let output = run_exchange(&server, &input);
+        let events = events(&output);
+        for (i, (axes, needle)) in cases.iter().enumerate() {
+            let errors = events_for(&events, &format!("bad{i}"), "error");
+            assert_eq!(errors.len(), 1, "{axes}: {output}");
+            let message = errors[0].get("message").unwrap().as_str().unwrap();
+            assert!(message.starts_with("raft_flexible:"), "{axes}: {message}");
+            assert!(message.contains(needle), "{axes}: {message}");
+        }
+        assert_eq!(events_for(&events, "ok", "cell").len(), 2, "{output}");
         assert_eq!(events_for(&events, "ok", "done").len(), 1, "{output}");
     }
 
